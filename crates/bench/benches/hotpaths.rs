@@ -58,32 +58,6 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
-/// Cancellation-heavy queue traffic: the scheduler's actual pattern is
-/// push-then-cancel (timers superseded by earlier wakeups). Half the
-/// pushed events are cancelled before the drain.
-fn bench_event_queue_cancel(c: &mut Criterion) {
-    c.bench_function("event_queue_push_cancel_1k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            let mut keys = Vec::with_capacity(1_000);
-            for i in 0..1_000u64 {
-                let at = SimTime::from_nanos(i.wrapping_mul(2_654_435_761) % 100_000);
-                keys.push(q.push(at, i));
-            }
-            for (i, k) in keys.into_iter().enumerate() {
-                if i % 2 == 0 {
-                    q.cancel(k);
-                }
-            }
-            let mut sum = 0u64;
-            while let Some((_, v)) = q.pop() {
-                sum = sum.wrapping_add(v);
-            }
-            std::hint::black_box(sum)
-        })
-    });
-}
-
 /// Serial vs parallel experiment fan-out over a grid of short windows —
 /// the speedup `--jobs N` buys on a multi-core host.
 fn bench_parallel_fanout(c: &mut Criterion) {
@@ -327,6 +301,6 @@ fn bench_adaptive_admission(c: &mut Criterion) {
 criterion_group! {
     name = hotpaths;
     config = sim_criterion();
-    targets = bench_calibration, bench_event_queue, bench_event_queue_cancel, bench_parallel_fanout, bench_runq_dispatch_scan, bench_segment_step, bench_rng, bench_histogram, bench_symbol_resolution, bench_sim_second, bench_machine_snapshot, bench_adaptive_admission
+    targets = bench_calibration, bench_event_queue, bench_parallel_fanout, bench_runq_dispatch_scan, bench_segment_step, bench_rng, bench_histogram, bench_symbol_resolution, bench_sim_second, bench_machine_snapshot, bench_adaptive_admission
 }
 criterion_main!(hotpaths);

@@ -563,7 +563,7 @@ impl Machine {
             .counters
             .add("faults_planned", plan.entries.len() as u64);
         for (seq, entry) in plan.entries.iter().enumerate() {
-            self.push_event(entry.at, Event::Fault { seq: seq as u32 });
+            self.queue.push(entry.at, Event::Fault { seq: seq as u32 });
         }
         self.faults.plan = plan;
     }
@@ -586,7 +586,7 @@ impl Machine {
                 // A stray kick event: the handler already tolerates
                 // non-running targets, so this exercises exactly the
                 // stale-wakeup path real IPIs hit.
-                self.push_event(self.now, Event::Kick { vcpu });
+                self.queue.push(self.now, Event::Kick { vcpu });
             }
             FaultKind::StolenTime { pcpu, steal } => {
                 if let Some(vcpu) = self.pcpus[pcpu.0 as usize].current {
@@ -595,7 +595,7 @@ impl Machine {
                     // Re-plan: the previously planned stop is now too
                     // early for the inflated activity.
                     self.vcpu_mut(vcpu).bump_gen();
-                    self.push_event(self.now, Event::Kick { vcpu });
+                    self.queue.push(self.now, Event::Kick { vcpu });
                 }
             }
             FaultKind::ZeroBurst { vm, task, count } => {

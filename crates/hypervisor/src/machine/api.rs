@@ -200,7 +200,7 @@ impl Machine {
 
     /// Arms a policy timer that fires `delay` from now with the given id.
     pub fn set_policy_timer(&mut self, delay: SimDuration, id: u64) {
-        self.push_event(self.now + delay, Event::PolicyTimer { id });
+        self.queue.push(self.now + delay, Event::PolicyTimer { id });
     }
 
     /// Pins a vCPU to a set of pCPUs (normal-pool affinity).

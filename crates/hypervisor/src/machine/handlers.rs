@@ -2,10 +2,10 @@
 //!
 //! Staleness discipline: superseded transition plans are never cancelled
 //! through the queue — `on_transition` drops them by generation-stamp
-//! comparison when they fire. That idiom is what the timing-wheel queue
-//! is shaped around: a dead event sits in its wheel bucket untouched
-//! (no sift, no lookup) and costs exactly one skip when its slot drains,
-//! so replanning a vCPU's stop is O(1) no matter how many stale plans it
+//! comparison when they fire. That idiom is why the timing-wheel queue
+//! has no cancel operation at all: a dead event sits in its wheel bucket
+//! untouched and costs one pop plus one compare when it fires, so
+//! replanning a vCPU's stop is O(1) no matter how many stale plans it
 //! leaves behind.
 
 use super::{Event, Machine, Stop};
@@ -111,7 +111,7 @@ impl Machine {
         // cadence recovers on the next one (see `FaultKind::TimerJitter`).
         let jitter = core::mem::take(&mut self.faults.tick_jitter);
         let next = self.now + self.cfg.tick + jitter;
-        self.push_event(next, Event::Tick);
+        self.queue.push(next, Event::Tick);
         if self.cfg.paranoid {
             self.stats.counters.incr("invariant_checks");
             if let Err(e) = self.check_invariants() {
@@ -135,7 +135,7 @@ impl Machine {
             }
         }
         let next = self.now + self.cfg.account_period;
-        self.push_event(next, Event::Account);
+        self.queue.push(next, Event::Account);
     }
 
     /// A packet reaches the host NIC: run the flow state machine, the
@@ -149,7 +149,7 @@ impl Machine {
         let now = self.now;
         let (action, next) = self.vms[vmi].kernel.flows[fi].on_arrival(now);
         if let Some(t) = next {
-            self.push_event(t, Event::PacketArrival { vm, flow });
+            self.queue.push(t, Event::PacketArrival { vm, flow });
         }
         match action {
             ArrivalAction::Dropped => {}

@@ -86,11 +86,8 @@ impl Machine {
         }
 
         // Event-queue time monotonicity (invariant 5). `earliest` is the
-        // non-mutating peek: O(1) against the cached shard heads in the
-        // common case, an exact slab scan when a cancellation just hit a
-        // head — either way it cannot perturb the queue it is checking,
-        // and under `--paranoid` (re-checked every accounting tick) it
-        // replaces a full live-event walk.
+        // non-mutating peek: an exact scan of the pending events that
+        // cannot perturb the queue it is checking.
         if let Some(t) = self.queue.earliest() {
             if t < self.now {
                 return Err(err(format!(

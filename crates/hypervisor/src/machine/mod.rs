@@ -27,7 +27,7 @@ use crate::stats::MachineStats;
 use crate::vcpu::{VState, Vcpu};
 use crate::vm::{Vm, VmSpec};
 use ksym::linux44::Linux44Map;
-use simcore::event::ShardedEventQueue;
+use simcore::event::EventQueue;
 use simcore::ids::{PcpuId, VcpuId, VmId};
 use simcore::rng::SimRng;
 use simcore::time::SimTime;
@@ -134,19 +134,9 @@ pub enum Event {
     },
 }
 
-/// Event-queue shard for machine-global events (timers, network flows,
-/// task wakeups, faults).
-const GLOBAL_SHARD: usize = 0;
-/// Event-queue shard for normal-pool scheduler events.
-const NORMAL_SHARD: usize = 1;
-/// Event-queue shard for micro-pool scheduler events.
-const MICRO_SHARD: usize = 2;
-/// Total shard count of the machine's event queue.
-const NUM_SHARDS: usize = 3;
-
 /// The simulated host.
 ///
-/// `Clone` is a deep checkpoint: every run queue, event-queue slab,
+/// `Clone` is a deep checkpoint: every run queue, the event queue,
 /// guest program arena, RNG stream, histogram, and the fault-plan cursor
 /// copy verbatim, so a clone replays bit-identically to the original.
 /// See [`Machine::snapshot`] / [`Snapshot`] for the checkpoint/fork API
@@ -156,7 +146,7 @@ pub struct Machine {
     /// Configuration (read-only after construction).
     pub cfg: MachineConfig,
     pub(crate) now: SimTime,
-    pub(crate) queue: ShardedEventQueue<Event>,
+    pub(crate) queue: EventQueue<Event>,
     /// Machine-level RNG (placement tie-breaking and the like).
     pub rng: SimRng,
     pub(crate) pcpus: Vec<Pcpu>,
@@ -212,7 +202,7 @@ impl Machine {
         let mut machine = Machine {
             cfg,
             now: SimTime::ZERO,
-            queue: ShardedEventQueue::new(NUM_SHARDS),
+            queue: EventQueue::new(),
             rng,
             pcpus,
             pools,
@@ -271,15 +261,15 @@ impl Machine {
         // Periodic scheduler timers.
         let tick = self.cfg.tick;
         let account = self.cfg.account_period;
-        self.push_event(self.now + tick, Event::Tick);
-        self.push_event(self.now + account, Event::Account);
+        self.queue.push(self.now + tick, Event::Tick);
+        self.queue.push(self.now + account, Event::Account);
         // Seed network flows.
         for vm_i in 0..self.vms.len() {
             for f in 0..self.vms[vm_i].kernel.flows.len() {
                 let start = self.now;
                 let arrivals = self.vms[vm_i].kernel.flows[f].initial_arrivals(start);
                 for t in arrivals {
-                    self.push_event(
+                    self.queue.push(
                         t,
                         Event::PacketArrival {
                             vm: VmId(vm_i as u16),
@@ -325,15 +315,20 @@ impl Machine {
         }
     }
 
-    /// Runs until the queue empties or `deadline` is reached, whichever is
-    /// first. On success, [`Machine::now`] equals `deadline` (or the last
-    /// event time if the queue drained early). On a fatal simulation
-    /// failure the error is returned immediately and the machine stays
-    /// poisoned: every later `run_until_*` returns the same error.
-    pub fn run_until(&mut self, deadline: SimTime) -> Result<(), SimError> {
+    /// The one event-dispatch loop behind every `run_until_*`: pops and
+    /// handles events at or before `limit` until `done` holds or none is
+    /// left. Returns the fatal error, if any, as soon as it is recorded.
+    fn run_loop(
+        &mut self,
+        limit: SimTime,
+        done: impl Fn(&Machine) -> bool,
+    ) -> Result<(), SimError> {
         self.poisoned()?;
         let mut pace: u32 = 0;
-        while let Some((t, event)) = self.queue.pop_at_or_before(deadline) {
+        while !done(self) {
+            let Some((t, event)) = self.queue.pop_at_or_before(limit) else {
+                break;
+            };
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             self.flight.record(t, event);
@@ -344,6 +339,16 @@ impl Machine {
             }
             self.poisoned()?;
         }
+        Ok(())
+    }
+
+    /// Runs until the queue empties or `deadline` is reached, whichever is
+    /// first. On success, [`Machine::now`] equals `deadline`, even if the
+    /// queue drained early. On a fatal simulation failure the error is
+    /// returned immediately and the machine stays poisoned: every later
+    /// `run_until_*` returns the same error.
+    pub fn run_until(&mut self, deadline: SimTime) -> Result<(), SimError> {
+        self.run_loop(deadline, |_| false)?;
         if self.now < deadline {
             self.now = deadline;
         }
@@ -352,57 +357,35 @@ impl Machine {
     }
 
     /// Runs until `vm` finishes all its tasks or `horizon` passes. Returns
-    /// the finish time if the VM completed, `None` on horizon exhaustion.
+    /// the finish time if the VM completed, `None` on horizon exhaustion
+    /// (then [`Machine::now`] is the time of the last event handled, not
+    /// `horizon`).
     pub fn run_until_vm_finished(
         &mut self,
         vm: VmId,
         horizon: SimTime,
     ) -> Result<Option<SimTime>, SimError> {
-        self.poisoned()?;
-        let mut pace: u32 = 0;
-        while self.vms[vm.0 as usize].finished_at.is_none() {
-            let Some((t, event)) = self.queue.pop_at_or_before(horizon) else {
-                break;
-            };
-            self.now = t;
-            self.flight.record(t, event);
-            self.handle(event);
-            pace = pace.wrapping_add(1);
-            if pace & 1023 == 0 && simcore::watchdog::expired() {
-                self.fail(SimError::Watchdog { at: self.now });
-            }
-            self.poisoned()?;
-        }
+        let vm = vm.0 as usize;
+        self.run_loop(horizon, |m| m.vms[vm].finished_at.is_some())?;
         self.settle();
-        Ok(self.vms[vm.0 as usize].finished_at)
+        Ok(self.vms[vm].finished_at)
     }
 
     /// Runs until every VM with tasks has finished them, or `horizon`
-    /// passes. Returns `true` if everything finished.
+    /// passes. Returns `true` if everything finished; on horizon
+    /// exhaustion [`Machine::now`] is the time of the last event handled.
     pub fn run_until_all_finished(&mut self, horizon: SimTime) -> Result<bool, SimError> {
-        self.poisoned()?;
-        let all_done = |m: &Machine| {
-            m.vms
-                .iter()
-                .filter(|vm| !vm.tasks.is_empty())
-                .all(|vm| vm.finished_at.is_some())
-        };
-        let mut pace: u32 = 0;
-        while !all_done(self) {
-            let Some((t, event)) = self.queue.pop_at_or_before(horizon) else {
-                break;
-            };
-            self.now = t;
-            self.flight.record(t, event);
-            self.handle(event);
-            pace = pace.wrapping_add(1);
-            if pace & 1023 == 0 && simcore::watchdog::expired() {
-                self.fail(SimError::Watchdog { at: self.now });
-            }
-            self.poisoned()?;
-        }
+        self.run_loop(horizon, Machine::all_finished)?;
         self.settle();
-        Ok(all_done(self))
+        Ok(self.all_finished())
+    }
+
+    /// True once every VM with tasks has finished them.
+    fn all_finished(&self) -> bool {
+        self.vms
+            .iter()
+            .filter(|vm| !vm.tasks.is_empty())
+            .all(|vm| vm.finished_at.is_some())
     }
 
     /// Accounts progress of all running vCPUs up to `now` (so CPU-time
@@ -422,28 +405,6 @@ impl Machine {
             f(policy.as_mut(), self);
             self.policy = Some(policy);
         }
-    }
-
-    /// Schedules an event, routed to the shard of the cpupool it concerns
-    /// (scheduler events) or the machine-global shard (timers, flows,
-    /// faults). Routing affects only locality — each shard is its own
-    /// timing wheel + slab — while pops come out ordered by
-    /// `(time, push order)` across all shards, so the shard choice can
-    /// never change the simulation.
-    #[inline]
-    pub(crate) fn push_event(&mut self, at: SimTime, event: Event) {
-        let shard = match event {
-            Event::Transition { vcpu, .. } | Event::Kick { vcpu } => match self.vcpu(vcpu).pool {
-                PoolId::Normal => NORMAL_SHARD,
-                PoolId::Micro => MICRO_SHARD,
-            },
-            Event::Preempt { pcpu } => match self.pools.pool_of(pcpu) {
-                PoolId::Normal => NORMAL_SHARD,
-                PoolId::Micro => MICRO_SHARD,
-            },
-            _ => GLOBAL_SHARD,
-        };
-        self.queue.push(shard, at, event);
     }
 
     /// Immutable vCPU accessor.

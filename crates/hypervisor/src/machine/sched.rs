@@ -225,7 +225,7 @@ impl Machine {
             && self.pools.pool_of(pcpu) == PoolId::Normal
             && self.vcpu(current).prio() != Prio::Boost
         {
-            self.push_event(self.now, Event::Preempt { pcpu });
+            self.queue.push(self.now, Event::Preempt { pcpu });
         }
     }
 
@@ -396,6 +396,7 @@ impl Machine {
             (at, stop)
         };
         let gen = self.vcpu(vcpu).gen;
-        self.push_event(at.max(self.now), Event::Transition { vcpu, gen, stop });
+        self.queue
+            .push(at.max(self.now), Event::Transition { vcpu, gen, stop });
     }
 }

@@ -4,10 +4,10 @@
 //! warmup before diverging at a single parameter. This module makes the
 //! prefix shareable: [`Machine::snapshot`] captures the whole machine by
 //! plain `Clone` over its SoA/arena state — run-queue `prio_keys`/`vcpus`
-//! vectors, `FlatProgram` segment arenas and cursors, per-shard timing
-//! wheels (bucket vectors, occupancy bitmaps, and drain cursor cloned
-//! verbatim) with their generation-stamped slabs and the merge front's
-//! cached heads, RNG streams, histograms, and the fault-plan cursor —
+//! vectors, `FlatProgram` segment arenas and cursors, the event queue's
+//! timing wheel (bucket vectors, occupancy bitmaps, drain cursor and
+//! overflow heap cloned verbatim), RNG streams, histograms, and the
+//! fault-plan cursor —
 //! and [`Snapshot::fork`] restores a cell-ready machine in O(state) with
 //! no re-simulation.
 //!
@@ -26,7 +26,7 @@ use simcore::time::SimTime;
 /// machines.
 ///
 /// Internally this is one deep copy of the machine (`Clone` over flat
-/// vectors and slabs — no re-simulation, no allocation churn beyond the
+/// vectors and buckets — no re-simulation, no allocation churn beyond the
 /// buffers themselves). The snapshot is immutable and `Sync`, so worker
 /// threads can fork cells from a shared `&Snapshot` concurrently.
 pub struct Snapshot {
@@ -44,7 +44,7 @@ impl Snapshot {
     /// Every fork is byte-identical to every other fork of the same
     /// snapshot and to the machine the snapshot was taken from; running
     /// one never perturbs the snapshot or its siblings. The contract is
-    /// total: event queue (including pending cancellations), RNG
+    /// total: event queue (including superseded plans not yet fired), RNG
     /// streams, fault plan position, credit/accounting counters, and
     /// per-VM metrics all come back, so a fork driven with the same
     /// subsequent API calls (policy installs, `run_until` deadlines)

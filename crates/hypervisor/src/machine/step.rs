@@ -228,7 +228,7 @@ impl Machine {
                     .collect();
                 for s in spinners {
                     if self.vcpu(s).is_running() {
-                        self.push_event(self.now, Event::Kick { vcpu: s });
+                        self.queue.push(self.now, Event::Kick { vcpu: s });
                     }
                 }
                 self.advance_task(vcpu, task);
@@ -300,7 +300,7 @@ impl Machine {
                 return;
             }
             let at = self.now + self.cfg.ipi_deliver_latency + self.faults.ipi_extra;
-            self.push_event(at, Event::Kick { vcpu: target });
+            self.queue.push(at, Event::Kick { vcpu: target });
         }
         // Runnable (preempted): handled at its next dispatch — this delay
         // is the virtual time discontinuity in action.
@@ -388,7 +388,7 @@ impl Machine {
         self.advance_task(waiter, task);
         if self.vcpu(waiter).is_running() {
             self.vcpu_mut(waiter).bump_gen();
-            self.push_event(self.now, Event::Kick { vcpu: waiter });
+            self.queue.push(self.now, Event::Kick { vcpu: waiter });
         }
         // Runnable waiters proceed at their next dispatch; they cannot be
         // blocked (IPI waits spin or yield, never HLT).
@@ -421,7 +421,7 @@ impl Machine {
                     q.push_front(task);
                 }
                 self.vcpu_mut(hid).bump_gen();
-                self.push_event(self.now, Event::Kick { vcpu: hid });
+                self.queue.push(self.now, Event::Kick { vcpu: hid });
             }
         }
     }
@@ -495,7 +495,8 @@ impl Machine {
                 guest::segment::Segment::Sleep { dur } => {
                     self.vms[vmi].tasks[ti].state = TaskState::Blocked;
                     self.vcpus[vmi][vi].ctx.activity = Activity::Idle;
-                    self.push_event(self.now + dur, Event::TaskWake { vm: vcpu.vm, task });
+                    self.queue
+                        .push(self.now + dur, Event::TaskWake { vm: vcpu.vm, task });
                     return;
                 }
                 guest::segment::Segment::NetRecv => {
@@ -505,7 +506,7 @@ impl Machine {
                             let consumed =
                                 self.vms[vmi].kernel.flows[fi as usize].consume(self.now);
                             if let Some(Some(next)) = consumed {
-                                self.push_event(
+                                self.queue.push(
                                     next,
                                     Event::PacketArrival {
                                         vm: vcpu.vm,

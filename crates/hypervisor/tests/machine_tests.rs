@@ -478,3 +478,106 @@ fn scripted_rng_programs_work() {
     assert!(a > 100, "should complete plenty of units, got {a}");
     assert_eq!(a, run());
 }
+
+// ---------------------------------------------------------------------
+// Run-loop entry points: where each one leaves the clock.
+// ---------------------------------------------------------------------
+
+/// A VM whose only task blocks at once and is never woken. After boot the
+/// queue holds nothing but the periodic credit `Tick`/`Account` timers,
+/// so the time of the last event before any horizon is known exactly.
+fn sleeper_spec() -> VmSpec {
+    VmSpec::new("sleeper", 1).task(
+        0,
+        Box::new(ScriptedProgram::new("sleeper", vec![Segment::Block])),
+    )
+}
+
+/// The latest periodic credit timer firing at or before `t`.
+fn last_timer_at_or_before(m: &Machine, t: SimTime) -> SimTime {
+    let n = t.as_nanos();
+    let tick = m.cfg.tick.as_nanos();
+    let account = m.cfg.account_period.as_nanos();
+    SimTime::from_nanos((n / tick * tick).max(n / account * account))
+}
+
+/// A horizon between two timer firings, so no event lands on it.
+fn off_grid_horizon() -> SimTime {
+    SimTime::from_nanos(25_000_007)
+}
+
+#[test]
+fn run_until_leaves_now_at_the_deadline_when_no_event_reaches_it() {
+    let mut m = Machine::new(
+        MachineConfig::small(1),
+        vec![sleeper_spec()],
+        Box::new(BaselinePolicy),
+    );
+    let deadline = off_grid_horizon();
+    m.run_until(deadline).unwrap();
+    assert_eq!(m.now(), deadline);
+    // A busy machine ends at the deadline too.
+    let mut busy = Machine::new(
+        MachineConfig::small(1),
+        vec![VmSpec::new("hog", 1).task(0, hog_prog())],
+        Box::new(BaselinePolicy),
+    );
+    busy.run_until(deadline).unwrap();
+    assert_eq!(busy.now(), deadline);
+}
+
+#[test]
+fn run_until_vm_finished_returns_the_finish_time_and_stops_there() {
+    let mut m = Machine::new(
+        MachineConfig::small(1),
+        vec![VmSpec::new("solo", 1).task(0, compute_prog(10, 100))],
+        Box::new(BaselinePolicy),
+    );
+    let fin = m
+        .run_until_vm_finished(VmId(0), SimTime::from_secs(1))
+        .unwrap()
+        .expect("finishes well inside the horizon");
+    assert_eq!(m.vm_finished_at(VmId(0)), Some(fin));
+    assert_eq!(m.now(), fin, "the loop stops at the finishing event");
+}
+
+#[test]
+fn run_until_vm_finished_on_horizon_exhaustion_stops_at_the_last_event() {
+    let mut m = Machine::new(
+        MachineConfig::small(1),
+        vec![sleeper_spec()],
+        Box::new(BaselinePolicy),
+    );
+    let horizon = off_grid_horizon();
+    assert_eq!(m.run_until_vm_finished(VmId(0), horizon).unwrap(), None);
+    assert_eq!(m.now(), last_timer_at_or_before(&m, horizon));
+    assert!(m.now() < horizon);
+}
+
+#[test]
+fn run_until_all_finished_returns_true_at_the_last_finish() {
+    let specs = vec![
+        VmSpec::new("short", 1).task(0, compute_prog(5, 100)),
+        VmSpec::new("long", 1).task(0, compute_prog(20, 100)),
+    ];
+    let mut m = Machine::new(MachineConfig::small(2), specs, Box::new(BaselinePolicy));
+    assert!(m.run_until_all_finished(SimTime::from_secs(1)).unwrap());
+    let last = m.vm_finished_at(VmId(0)).max(m.vm_finished_at(VmId(1)));
+    assert_eq!(Some(m.now()), last);
+}
+
+#[test]
+fn run_until_all_finished_on_horizon_exhaustion_stops_at_the_last_event() {
+    // One VM finishes early; the sleeper never does, so the horizon runs
+    // out with only credit timers left in the queue.
+    let specs = vec![
+        VmSpec::new("quick", 1).task(0, compute_prog(5, 100)),
+        sleeper_spec(),
+    ];
+    let mut m = Machine::new(MachineConfig::small(2), specs, Box::new(BaselinePolicy));
+    let horizon = off_grid_horizon();
+    assert!(!m.run_until_all_finished(horizon).unwrap());
+    assert!(m.vm_finished_at(VmId(0)).is_some());
+    assert_eq!(m.now(), last_timer_at_or_before(&m, horizon));
+    assert!(m.now() < horizon);
+}

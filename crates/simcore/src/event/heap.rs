@@ -1,173 +1,60 @@
-//! Slab + 4-ary heap building blocks behind the event queue.
+//! The entry type and 4-ary heap behind the event queue.
 //!
 //! [`EventQueue`](super::EventQueue) composes these with the hierarchical
-//! timing wheel (the private `wheel` module): the slab owns payloads and
-//! generation stamps, the heap serves as the wheel's overflow level. The
-//! pre-wheel queue survives verbatim as [`HeapEventQueue`], the reference
-//! backend the differential fuzz (`tests/wheel_vs_heap.rs`, the ci.sh
-//! smoke) drives against the wheel.
+//! timing wheel (the private `wheel` module): the heap serves as the
+//! wheel's overflow level. The pre-wheel queue survives as
+//! [`HeapEventQueue`], the reference backend the differential fuzz
+//! (`tests/wheel_vs_heap.rs`, the ci.sh smoke) drives against the wheel.
 
-use super::EventKey;
 use crate::time::SimTime;
 
-/// One ordering entry. The `(at, seq)` key is stored inline so neither
-/// heap sifting nor wheel-bucket sorting ever chases into the slab.
-#[derive(Clone, Copy, Debug)]
-pub(super) struct HeapEntry {
+/// One pending event: the `(at, seq)` ordering key with the payload
+/// stored inline, so popping an event is the whole lookup.
+#[derive(Clone, Copy)]
+pub(super) struct Entry<E> {
     pub(super) at: SimTime,
     pub(super) seq: u64,
-    pub(super) slot: u32,
+    pub(super) payload: E,
 }
 
-impl HeapEntry {
+impl<E> Entry<E> {
     #[inline]
     pub(super) fn key(&self) -> (SimTime, u64) {
         (self.at, self.seq)
     }
 }
 
-/// A payload slot. `payload == None` means the event was cancelled (its
-/// heap or wheel entry is still in flight) or the slot is free. The
-/// firing time is mirrored here (not only in the ordering entry) so
-/// non-mutating iteration never has to disambiguate stale entries from
-/// recycled slots.
-#[derive(Clone)]
-struct Slot<E> {
-    gen: u32,
-    at: SimTime,
-    payload: Option<E>,
-}
-
-/// Generation-stamped payload storage with a LIFO free list.
-///
-/// Slot allocation order is a pure function of the push/release history,
-/// which is what makes a cloned queue hand out byte-identical
-/// [`EventKey`]s — the property the machine snapshot/fork path rests on.
-#[derive(Clone)]
-pub(super) struct Slab<E> {
-    slots: Vec<Slot<E>>,
-    free: Vec<u32>,
-    live: usize,
-}
-
-impl<E> Slab<E> {
-    pub(super) fn new() -> Self {
-        Slab {
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-        }
-    }
-
-    /// Stores `payload`, returning `(slot, generation)`.
-    pub(super) fn alloc(&mut self, at: SimTime, payload: E) -> (u32, u32) {
-        let slot = match self.free.pop() {
-            Some(i) => {
-                let s = &mut self.slots[i as usize];
-                debug_assert!(s.payload.is_none());
-                s.at = at;
-                s.payload = Some(payload);
-                i
-            }
-            None => {
-                let i = self.slots.len() as u32;
-                assert!(i < u32::MAX, "event queue slot space exhausted");
-                self.slots.push(Slot {
-                    gen: 0,
-                    at,
-                    payload: Some(payload),
-                });
-                i
-            }
-        };
-        self.live += 1;
-        (slot, self.slots[slot as usize].gen)
-    }
-
-    /// Takes the payload of a still-pending event out in `O(1)`, leaving
-    /// the slot for its in-flight ordering entry to reap. Stale keys
-    /// (fired, cancelled, or recycled slots) return `None`.
-    pub(super) fn cancel_take(&mut self, key: EventKey) -> Option<(SimTime, E)> {
-        let i = key.slot();
-        match self.slots.get_mut(i) {
-            Some(s) if s.gen == key.gen() && s.payload.is_some() => {
-                self.live -= 1;
-                Some((s.at, s.payload.take().expect("checked")))
-            }
-            _ => None,
-        }
-    }
-
-    /// Takes the payload out of a surfaced slot and recycles the slot.
-    #[inline]
-    pub(super) fn release(&mut self, slot: u32) -> Option<E> {
-        let s = &mut self.slots[slot as usize];
-        s.gen = s.gen.wrapping_add(1);
-        let payload = s.payload.take();
-        self.free.push(slot);
-        if payload.is_some() {
-            self.live -= 1;
-        }
-        payload
-    }
-
-    /// Whether `slot` still holds a pending (non-cancelled) payload.
-    #[inline]
-    pub(super) fn is_live(&self, slot: u32) -> bool {
-        self.slots[slot as usize].payload.is_some()
-    }
-
-    /// Borrows the payload of a live slot.
-    #[inline]
-    pub(super) fn payload_ref(&self, slot: u32) -> Option<&E> {
-        self.slots[slot as usize].payload.as_ref()
-    }
-
-    /// Live events in slab order.
-    pub(super) fn iter(&self) -> impl Iterator<Item = (SimTime, &E)> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.payload.as_ref().map(|p| (s.at, p)))
-    }
-
-    /// Number of pending (non-cancelled) events.
-    #[inline]
-    pub(super) fn live(&self) -> usize {
-        self.live
-    }
-}
-
-/// Heap arity: 4 keeps the tree shallow and the child scan within one or
-/// two cache lines of `HeapEntry`s.
+/// Heap arity: 4 keeps the tree shallow and the child scan within a
+/// couple of cache lines of entries.
 const ARITY: usize = 4;
 
-/// An implicit 4-ary min-heap of [`HeapEntry`]s ordered by `(at, seq)`.
+/// An implicit 4-ary min-heap of [`Entry`]s ordered by `(at, seq)`.
 /// Ties cannot occur: `seq` is unique per queue.
 #[derive(Clone)]
-pub(super) struct EntryHeap {
-    heap: Vec<HeapEntry>,
+pub(super) struct EntryHeap<E> {
+    heap: Vec<Entry<E>>,
 }
 
-impl EntryHeap {
+impl<E: Copy> EntryHeap<E> {
     pub(super) fn new() -> Self {
         EntryHeap { heap: Vec::new() }
     }
 
     #[inline]
-    pub(super) fn push(&mut self, entry: HeapEntry) {
+    pub(super) fn push(&mut self, entry: Entry<E>) {
         self.heap.push(entry);
         self.sift_up(self.heap.len() - 1);
     }
 
-    /// The root entry (minimum key), cancelled or not.
+    /// The root entry (minimum key).
     #[inline]
-    pub(super) fn first(&self) -> Option<&HeapEntry> {
+    pub(super) fn first(&self) -> Option<&Entry<E>> {
         self.heap.first()
     }
 
-    /// Pops the heap root (regardless of cancellation state).
+    /// Pops the root entry.
     #[inline]
-    pub(super) fn pop_entry(&mut self) -> Option<HeapEntry> {
+    pub(super) fn pop(&mut self) -> Option<Entry<E>> {
         let last = self.heap.pop()?;
         if self.heap.is_empty() {
             return Some(last);
@@ -175,6 +62,11 @@ impl EntryHeap {
         let top = core::mem::replace(&mut self.heap[0], last);
         self.sift_down(0);
         Some(top)
+    }
+
+    #[inline]
+    pub(super) fn len(&self) -> usize {
+        self.heap.len()
     }
 
     #[inline]
@@ -220,111 +112,67 @@ impl EntryHeap {
     }
 }
 
-/// The pre-wheel event queue: a generation-stamped slab plus one indexed
-/// 4-ary min-heap over every pending entry.
+/// The pre-wheel event queue: one 4-ary min-heap over every pending
+/// entry.
 ///
 /// [`EventQueue`](super::EventQueue) replaced this as the simulator's
-/// production queue (DESIGN.md §4.10) but the semantics are identical —
-/// `(time, seq)` total order, FIFO within a timestamp, `O(1)` cancel with
-/// lazy reaping, generation-stamped stale-key rejection. It is kept as
-/// the **reference backend** for differential testing: the
+/// production queue (DESIGN.md §4.10) but the contract is identical —
+/// `(time, seq)` total order, FIFO within a timestamp, no cancellation.
+/// It is kept as the **reference backend** for differential testing: the
 /// `wheel_vs_heap` fuzz (`tests/wheel_vs_heap.rs`, run as a ci.sh smoke)
 /// drives both backends through identical seeded op sequences and asserts
 /// identical pop order.
 #[derive(Clone)]
 pub struct HeapEventQueue<E> {
-    slab: Slab<E>,
-    heap: EntryHeap,
+    heap: EntryHeap<E>,
     next_seq: u64,
 }
 
-impl<E> Default for HeapEventQueue<E> {
+impl<E: Copy> Default for HeapEventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> HeapEventQueue<E> {
+impl<E: Copy> HeapEventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         HeapEventQueue {
-            slab: Slab::new(),
             heap: EntryHeap::new(),
             next_seq: 0,
         }
     }
 
-    /// Schedules `payload` to fire at `at`, returning a cancellation key.
-    pub fn push(&mut self, at: SimTime, payload: E) -> EventKey {
+    /// Schedules `payload` to fire at `at`.
+    pub fn push(&mut self, at: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let (slot, gen) = self.slab.alloc(at, payload);
-        self.heap.push(HeapEntry { at, seq, slot });
-        EventKey::new(slot, gen)
-    }
-
-    /// Cancels a previously scheduled event in `O(1)`; see
-    /// [`EventQueue::cancel`](super::EventQueue::cancel).
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        self.slab.cancel_take(key).is_some()
+        self.heap.push(Entry { at, seq, payload });
     }
 
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(top) = self.heap.pop_entry() {
-            if let Some(payload) = self.slab.release(top.slot) {
-                return Some((top.at, payload));
-            }
-            // Cancelled entry: its slot is now recycled, keep draining.
-        }
-        None
+        self.heap.pop().map(|e| (e.at, e.payload))
     }
 
     /// Removes and returns the earliest pending event if it fires at or
     /// before `deadline`; see
     /// [`EventQueue::pop_at_or_before`](super::EventQueue::pop_at_or_before).
     pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        loop {
-            let top = self.heap.first()?;
-            if top.at > deadline {
-                // Cancelled entries past the deadline stay put; they are
-                // reaped when the frontier reaches them.
-                if self.slab.is_live(top.slot) {
-                    return None;
-                }
-                let top = self.heap.pop_entry().expect("non-empty");
-                self.slab.release(top.slot);
-                continue;
-            }
-            let top = self.heap.pop_entry().expect("non-empty");
-            if let Some(payload) = self.slab.release(top.slot) {
-                return Some((top.at, payload));
-            }
+        if self.heap.first()?.at > deadline {
+            return None;
         }
+        self.pop()
     }
 
-    /// The timestamp of the earliest pending event, if any. Reaps
-    /// cancelled heap heads on the way, hence `&mut self`.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            let top = self.heap.first()?;
-            if self.slab.is_live(top.slot) {
-                return Some(top.at);
-            }
-            let top = self.heap.pop_entry().expect("non-empty");
-            self.slab.release(top.slot);
-        }
+    /// The timestamp of the earliest pending event, if any.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.first().map(|e| e.at)
     }
 
-    /// Iterates over all pending events in unspecified (slab) order;
-    /// cancelled events never appear.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &E)> {
-        self.slab.iter()
-    }
-
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.slab.live()
+        self.heap.len()
     }
 
     /// True if no events are pending.

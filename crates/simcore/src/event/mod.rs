@@ -1,4 +1,4 @@
-//! A cancellable, stably ordered discrete-event queue.
+//! A stably ordered discrete-event queue.
 //!
 //! Events at equal timestamps pop in insertion order, which makes the
 //! simulation deterministic regardless of queue internals. The queue is
@@ -10,17 +10,17 @@
 //!
 //! - a **hierarchical timing wheel** buckets entries by firing time:
 //!   pushing a near-future timer is a bucket append plus a bitmap bit,
-//!   popping drains one pre-sorted slot buffer at a time, and a cancelled
-//!   timer never sifts through anything — its bucket entry is skipped
-//!   when its slot drains (DESIGN.md §4.10);
+//!   and popping drains one pre-sorted slot buffer at a time
+//!   (DESIGN.md §4.10);
 //! - an **implicit 4-ary min-heap** catches what the wheel cannot hold:
 //!   events at or beyond the ~4.3 s wheel horizon and events behind the
 //!   drain frontier (the full priority-queue contract allows pushing
-//!   "into the past");
-//! - a **generation-stamped slab** holds payloads: [`EventQueue::cancel`]
-//!   is `O(1)` — it takes the payload out of the slot and lets the dead
-//!   wheel/heap entry surface lazily — and stale keys are rejected by the
-//!   generation stamp with no hashing anywhere on the push/pop path.
+//!   "into the past").
+//!
+//! Payloads are stored inline in the entries, so there is no side table
+//! to look up on pop. There is no cancellation: the simulator never
+//! needs it — a superseded plan stays queued and its handler drops it by
+//! generation stamp when it fires (`hypervisor::machine::handlers`).
 //!
 //! Ordering ties cannot occur: the `(time, seq)` key is unique because
 //! `seq` increments on every push, which is also what gives FIFO order
@@ -35,36 +35,12 @@ mod wheel;
 
 pub use heap::HeapEventQueue;
 
-use heap::{EntryHeap, HeapEntry, Slab};
+use heap::{Entry, EntryHeap};
 use wheel::{Wheel, SHIFT0};
 
-/// A handle to a scheduled event, usable to cancel it before it fires.
-///
-/// Internally packs `(generation << 32) | slot`; a key is invalidated as
-/// soon as its event pops or is cancelled, and reusing it is harmless.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventKey(u64);
-
-impl EventKey {
-    #[inline]
-    fn new(slot: u32, gen: u32) -> Self {
-        EventKey(((gen as u64) << 32) | slot as u64)
-    }
-
-    #[inline]
-    fn slot(self) -> usize {
-        (self.0 & 0xFFFF_FFFF) as usize
-    }
-
-    #[inline]
-    fn gen(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
-/// A priority queue of timestamped events with stable FIFO tie-breaking
-/// and `O(1)` cancellation, backed by a hierarchical timing wheel with a
-/// heap overflow level (see the [module docs](self)).
+/// A priority queue of timestamped events with stable FIFO tie-breaking,
+/// backed by a hierarchical timing wheel with a heap overflow level (see
+/// the [module docs](self)).
 ///
 /// # Examples
 ///
@@ -73,40 +49,41 @@ impl EventKey {
 /// use simcore::time::SimTime;
 ///
 /// let mut q = EventQueue::new();
-/// let key = q.push(SimTime::from_micros(10), 'a');
+/// q.push(SimTime::from_micros(10), 'a');
 /// q.push(SimTime::from_micros(10), 'b');
-/// q.cancel(key);
+/// q.push(SimTime::from_micros(5), 'c');
+/// assert_eq!(q.pop(), Some((SimTime::from_micros(5), 'c')));
+/// assert_eq!(q.pop_at_or_before(SimTime::from_micros(9)), None);
+/// assert_eq!(q.pop(), Some((SimTime::from_micros(10), 'a')));
 /// assert_eq!(q.pop(), Some((SimTime::from_micros(10), 'b')));
 /// assert!(q.is_empty());
 /// ```
+///
 /// Cloning snapshots the queue verbatim — wheel buckets and cursor, heap
-/// layout, slab generations, free list, and sequence counter — so a clone
-/// pops, cancels, and recycles slots exactly like the original, and
-/// outstanding [`EventKey`]s remain valid against the clone.
+/// layout and sequence counter — so a clone pops exactly like the
+/// original, which is what the machine snapshot/fork path rests on.
 #[derive(Clone)]
 pub struct EventQueue<E> {
-    slab: Slab<E>,
-    wheel: Wheel,
+    wheel: Wheel<E>,
     /// Drain buffer: the entries of the wheel slot at the cursor, sorted
     /// descending by `(at, seq)` so the next entry pops off the end.
     /// Pushes targeting the cursor's slot insert here directly.
-    cur: Vec<HeapEntry>,
+    cur: Vec<Entry<E>>,
     /// Events at/beyond the wheel horizon or behind the cursor.
-    overflow: EntryHeap,
+    overflow: EntryHeap<E>,
     next_seq: u64,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            slab: Slab::new(),
             wheel: Wheel::new(),
             cur: Vec::new(),
             overflow: EntryHeap::new(),
@@ -114,12 +91,11 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `payload` to fire at `at`, returning a cancellation key.
-    pub fn push(&mut self, at: SimTime, payload: E) -> EventKey {
+    /// Schedules `payload` to fire at `at`.
+    pub fn push(&mut self, at: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let (slot, gen) = self.slab.alloc(at, payload);
-        let entry = HeapEntry { at, seq, slot };
+        let entry = Entry { at, seq, payload };
         let t = at.as_nanos();
         let cursor = self.wheel.cursor;
         if t < cursor {
@@ -139,68 +115,22 @@ impl<E> EventQueue<E> {
         } else if let Err(entry) = self.wheel.insert(entry) {
             self.overflow.push(entry);
         }
-        EventKey::new(slot, gen)
     }
 
-    /// Cancels a previously scheduled event in `O(1)`.
-    ///
-    /// Returns `true` if the event was still pending; cancelling an already
-    /// fired or already cancelled event returns `false` and is harmless.
-    /// The payload is dropped immediately; the wheel/heap entry surfaces
-    /// (and is discarded) lazily.
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        self.cancel_take(key).is_some()
-    }
-
-    /// [`cancel`](Self::cancel), but hands back the firing time and
-    /// payload of the cancelled event instead of dropping them — what the
-    /// sharded merge front uses to know whether a cached head died.
-    pub fn cancel_take(&mut self, key: EventKey) -> Option<(SimTime, E)> {
-        self.slab.cancel_take(key)
-    }
-
-    /// The minimum live entry on the wheel side, pruning dead entries and
-    /// refilling the drain buffer from the wheel as needed.
+    /// The earliest pending entry and whether it sits on the overflow
+    /// heap (as opposed to the drain buffer), refilling the drain buffer
+    /// from the wheel first if it ran dry.
     #[inline]
-    fn wheel_head(&mut self) -> Option<HeapEntry> {
-        loop {
-            while let Some(&entry) = self.cur.last() {
-                if self.slab.is_live(entry.slot) {
-                    return Some(entry);
-                }
-                self.cur.pop();
-                self.slab.release(entry.slot);
-            }
-            if !self.wheel.take_next_slot(&mut self.cur) {
-                return None;
-            }
+    fn head(&mut self) -> Option<(Entry<E>, bool)> {
+        if self.cur.is_empty() && self.wheel.take_next_slot(&mut self.cur) {
             self.cur
                 .sort_unstable_by_key(|e| core::cmp::Reverse(e.key()));
         }
-    }
-
-    /// The minimum live entry on the overflow heap, pruning dead roots.
-    #[inline]
-    fn overflow_head(&mut self) -> Option<HeapEntry> {
-        loop {
-            let entry = *self.overflow.first()?;
-            if self.slab.is_live(entry.slot) {
-                return Some(entry);
-            }
-            self.overflow.pop_entry();
-            self.slab.release(entry.slot);
-        }
-    }
-
-    /// The queue's minimum live entry and whether it sits on the overflow
-    /// heap (as opposed to the drain buffer).
-    #[inline]
-    fn head(&mut self) -> Option<(HeapEntry, bool)> {
-        match (self.wheel_head(), self.overflow_head()) {
+        match (self.cur.last(), self.overflow.first()) {
             (None, None) => None,
-            (Some(w), None) => Some((w, false)),
-            (None, Some(h)) => Some((h, true)),
-            (Some(w), Some(h)) => {
+            (Some(&w), None) => Some((w, false)),
+            (None, Some(&h)) => Some((h, true)),
+            (Some(&w), Some(&h)) => {
                 if h.key() < w.key() {
                     Some((h, true))
                 } else {
@@ -210,388 +140,78 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Pops the already-validated head off the side it lives on.
+    /// Pops the head found by [`head`](Self::head) off the side it lives
+    /// on and hands back its time and payload.
     #[inline]
-    fn take_head(&mut self, from_overflow: bool) -> HeapEntry {
-        if from_overflow {
-            self.overflow.pop_entry().expect("validated head")
+    fn take_head(&mut self, from_overflow: bool) -> (SimTime, E) {
+        let entry = if from_overflow {
+            self.overflow.pop()
         } else {
-            self.cur.pop().expect("validated head")
-        }
+            self.cur.pop()
+        };
+        let entry = entry.expect("head exists");
+        (entry.at, entry.payload)
     }
 
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let (_, from_overflow) = self.head()?;
-        let entry = self.take_head(from_overflow);
-        let payload = self.slab.release(entry.slot).expect("head is live");
-        Some((entry.at, payload))
+        Some(self.take_head(from_overflow))
     }
 
     /// Removes and returns the earliest pending event if it fires at or
     /// before `deadline` — the event loop's fused peek-then-pop. A cheap
     /// occupancy lower bound rejects past-the-deadline calls without
-    /// draining, cascading, or reaping anything.
+    /// draining or cascading anything.
     pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        let d = deadline.as_nanos();
         let wheel_bound = match self.cur.last() {
             Some(entry) => Some(entry.at.as_nanos()),
             None => self.wheel.lower_bound(),
         };
         let heap_bound = self.overflow.first().map(|e| e.at.as_nanos());
-        match (wheel_bound, heap_bound) {
-            (None, None) => return None,
-            (w, h) => {
-                // Bounds may come from cancelled entries; they only ever
-                // under-estimate, so `bound > deadline` is a safe early
-                // out that leaves dead entries past the frontier in place.
-                if w.unwrap_or(u64::MAX).min(h.unwrap_or(u64::MAX)) > d {
-                    return None;
-                }
-            }
+        if wheel_bound.into_iter().chain(heap_bound).min()? > deadline.as_nanos() {
+            return None;
         }
         let (head, from_overflow) = self.head()?;
         if head.at > deadline {
             return None;
         }
-        let entry = self.take_head(from_overflow);
-        let payload = self.slab.release(entry.slot).expect("head is live");
-        Some((entry.at, payload))
+        Some(self.take_head(from_overflow))
     }
 
     /// The timestamp of the earliest pending event, if any.
     ///
-    /// Takes `&mut self` because cancelled entries sitting at the drain
-    /// frontier are reaped (and their slots recycled) on the way; see
-    /// [`earliest`](Self::earliest) for the non-mutating variant.
+    /// Takes `&mut self` because it may refill the drain buffer from the
+    /// wheel; see [`earliest`](Self::earliest) for the non-mutating
+    /// variant.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.head().map(|(entry, _)| entry.at)
     }
 
-    /// The earliest pending event without removing it.
-    ///
-    /// Takes `&mut self` for the same lazy-pruning reason as
-    /// [`peek_time`](Self::peek_time): cancelled entries at the frontier
-    /// are reaped so the returned head is exact. Callers that only need a
-    /// timestamp and cannot take `&mut` should use
-    /// [`earliest`](Self::earliest) instead of cloning the queue.
-    pub fn peek(&mut self) -> Option<(SimTime, &E)> {
-        let (entry, _) = self.head()?;
-        self.slab.payload_ref(entry.slot).map(|p| (entry.at, p))
-    }
-
     /// The timestamp of the earliest pending event, without `&mut self`.
     ///
-    /// The immutable companion to [`peek_time`](Self::peek_time): it
-    /// cannot reap cancelled entries, so when one sits at the drain
-    /// frontier the answer falls back to a full slab scan — `O(1)` when
-    /// the visible heads are live (the common case), `O(slots)` when a
-    /// cancellation just hit a head or the next wheel slot is undrained.
-    /// Validation passes and diagnostics should use this; the event loop
-    /// sticks with the mutating fast path.
+    /// An exact scan over every pending entry, so it cannot perturb the
+    /// queue it inspects. Validation passes (the `--paranoid` invariant
+    /// check) use this; the event loop sticks with the mutating fast
+    /// path.
     pub fn earliest(&self) -> Option<SimTime> {
-        let wheel_min = match self.cur.last() {
-            Some(entry) if self.slab.is_live(entry.slot) => Some(entry.at),
-            Some(_) => return self.earliest_scan(),
-            None if self.wheel.count > 0 => return self.earliest_scan(),
-            None => None,
-        };
-        let heap_min = match self.overflow.first() {
-            Some(entry) if self.slab.is_live(entry.slot) => Some(entry.at),
-            Some(_) => return self.earliest_scan(),
-            None => None,
-        };
-        match (wheel_min, heap_min) {
-            (Some(w), Some(h)) => Some(w.min(h)),
-            (w, h) => w.or(h),
-        }
+        self.cur
+            .last()
+            .into_iter()
+            .chain(self.wheel.entries())
+            .chain(self.overflow.first())
+            .map(|entry| entry.at)
+            .min()
     }
 
-    /// Exact fallback for [`earliest`](Self::earliest): minimum over the
-    /// live slab entries.
-    fn earliest_scan(&self) -> Option<SimTime> {
-        self.slab.iter().map(|(t, _)| t).min()
-    }
-
-    /// Iterates over all pending events in unspecified order.
-    ///
-    /// Cancelled events never appear. Intended for validation passes
-    /// (e.g. "no pending event fires in the past"), not for dispatch —
-    /// the order is slab order, not firing order.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &E)> {
-        self.slab.iter()
-    }
-
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.slab.live()
+        self.cur.len() + self.wheel.count + self.overflow.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// A handle to an event scheduled on a [`ShardedEventQueue`], usable to
-/// cancel it before it fires. Carries the shard id so cancellation routes
-/// straight to the owning shard without a lookup.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct ShardKey {
-    shard: u8,
-    key: EventKey,
-}
-
-impl ShardKey {
-    /// The shard this key's event was scheduled on.
-    #[inline]
-    pub fn shard(self) -> usize {
-        self.shard as usize
-    }
-}
-
-/// The merge front's packed head key: `(time << 64) | gseq`. Unique per
-/// event (`gseq` is unique), totally ordered like `(time, gseq)`, and one
-/// branchless `u128` compare instead of a tuple compare.
-#[inline]
-fn pack(at: SimTime, gseq: u64) -> u128 {
-    ((at.as_nanos() as u128) << 64) | gseq as u128
-}
-
-/// Head-cache sentinel for an empty shard. Unreachable by [`pack`]: it
-/// would need `gseq == u64::MAX`, which a per-push counter never hits.
-const EMPTY_HEAD: u128 = u128::MAX;
-
-/// An [`EventQueue`] split into independent shards with a branchless
-/// merge front over cached shard minima.
-///
-/// Pushers route each event to a caller-chosen shard (the hypervisor uses
-/// one shard per cpupool plus one for machine-global timers), which keeps
-/// each underlying wheel-and-slab's working set small on large
-/// `num_pcpus` sweeps. Popping compares the shard heads by
-/// `(time, global_seq)` — the global sequence number is stamped at push —
-/// so the pop order is **bit-identical to a single unsharded queue** no
-/// matter how events are distributed over shards. FIFO tie-break at equal
-/// timestamps therefore holds across shards, not just within one.
-///
-/// The shard minima are cached as packed `(time << 64) | gseq` keys: a
-/// pop compares three `u128`s branchlessly instead of re-peeking every
-/// shard, a push refreshes its shard's key with one compare, and only a
-/// cancellation that kills a cached head forces a re-peek (the cache
-/// entry goes *dirty* and is recomputed at the next pop).
-///
-/// # Examples
-///
-/// ```
-/// use simcore::event::ShardedEventQueue;
-/// use simcore::time::SimTime;
-///
-/// let mut q = ShardedEventQueue::new(3);
-/// q.push(2, SimTime::from_micros(10), 'a');
-/// let key = q.push(0, SimTime::from_micros(10), 'b');
-/// q.push(1, SimTime::from_micros(5), 'c');
-/// q.cancel(key);
-/// assert_eq!(q.pop(), Some((SimTime::from_micros(5), 'c')));
-/// assert_eq!(q.pop(), Some((SimTime::from_micros(10), 'a')));
-/// assert!(q.is_empty());
-/// ```
-///
-/// Cloning preserves every shard's state, the head cache, and the global
-/// sequence counter, so a clone's pop order (and any outstanding
-/// [`ShardKey`]s) match the original exactly — the property the machine
-/// snapshot/fork path relies on.
-#[derive(Clone)]
-pub struct ShardedEventQueue<E> {
-    /// Payloads wrapped with their global push sequence; the wrapper is
-    /// what lets the merge front reconstruct the single-queue total order.
-    shards: Vec<EventQueue<(u64, E)>>,
-    /// Per-shard cached minimum as a packed key; [`EMPTY_HEAD`] when the
-    /// shard is empty. When a shard's `dirty` bit is set the cached value
-    /// is only a lower bound (its event was cancelled).
-    heads: Vec<u128>,
-    /// Bitmask of shards whose cached head must be re-peeked.
-    dirty: u64,
-    next_gseq: u64,
-}
-
-impl<E> ShardedEventQueue<E> {
-    /// Creates a queue with `num_shards` independent shards (1..=64; the
-    /// bound is the head-cache dirty bitmask width).
-    pub fn new(num_shards: usize) -> Self {
-        assert!(
-            (1..=64).contains(&num_shards),
-            "shard count must be in 1..=64, got {num_shards}"
-        );
-        ShardedEventQueue {
-            shards: (0..num_shards).map(|_| EventQueue::new()).collect(),
-            heads: vec![EMPTY_HEAD; num_shards],
-            dirty: 0,
-            next_gseq: 0,
-        }
-    }
-
-    /// Number of shards this queue was created with.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Schedules `payload` on `shard` to fire at `at`.
-    ///
-    /// The shard choice affects only locality, never ordering: pops are
-    /// globally ordered by `(at, push order)` across all shards.
-    pub fn push(&mut self, shard: usize, at: SimTime, payload: E) -> ShardKey {
-        let gseq = self.next_gseq;
-        self.next_gseq += 1;
-        let key = self.shards[shard].push(at, (gseq, payload));
-        let packed = pack(at, gseq);
-        if packed < self.heads[shard] {
-            // Strictly below the cached value — which is a lower bound on
-            // every other entry even when dirty — so the new event is the
-            // exact live minimum and the cache is clean again.
-            self.heads[shard] = packed;
-            self.dirty &= !(1 << shard);
-        }
-        ShardKey {
-            shard: shard as u8,
-            key,
-        }
-    }
-
-    /// Cancels a previously scheduled event in `O(1)`, routing by the
-    /// shard id embedded in the key. Stale keys return `false`.
-    pub fn cancel(&mut self, key: ShardKey) -> bool {
-        let shard = key.shard as usize;
-        match self.shards[shard].cancel_take(key.key) {
-            Some((at, (gseq, _payload))) => {
-                if pack(at, gseq) == self.heads[shard] {
-                    // The cached head died; its value stays as a lower
-                    // bound until the next pop re-peeks the shard.
-                    self.dirty |= 1 << shard;
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Re-peeks every dirty shard so all cached heads are exact.
-    #[cold]
-    fn refresh_dirty(&mut self) {
-        let mut pending = self.dirty;
-        while pending != 0 {
-            let shard = pending.trailing_zeros() as usize;
-            pending &= pending - 1;
-            self.refresh_head(shard);
-        }
-    }
-
-    /// Recomputes one shard's cached head from its live minimum.
-    #[inline]
-    fn refresh_head(&mut self, shard: usize) {
-        self.heads[shard] = match self.shards[shard].peek() {
-            Some((at, &(gseq, _))) => pack(at, gseq),
-            None => EMPTY_HEAD,
-        };
-        self.dirty &= !(1 << shard);
-    }
-
-    /// Index and packed key of the shard holding the globally earliest
-    /// pending event; the key is [`EMPTY_HEAD`] iff the queue is empty.
-    #[inline]
-    fn best_shard(&mut self) -> (usize, u128) {
-        if self.dirty != 0 {
-            self.refresh_dirty();
-        }
-        match *self.heads.as_slice() {
-            // The hypervisor's three-pool layout: branchless 3-way min
-            // over the packed keys, no re-peeking.
-            [h0, h1, h2] => {
-                let first = (h1 < h0) as usize;
-                let first_min = if h1 < h0 { h1 } else { h0 };
-                if h2 < first_min {
-                    (2, h2)
-                } else {
-                    (first, first_min)
-                }
-            }
-            _ => {
-                let mut best = (0, self.heads[0]);
-                for (i, &h) in self.heads.iter().enumerate().skip(1) {
-                    if h < best.1 {
-                        best = (i, h);
-                    }
-                }
-                best
-            }
-        }
-    }
-
-    /// Removes and returns the globally earliest pending event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (shard, head) = self.best_shard();
-        if head == EMPTY_HEAD {
-            return None;
-        }
-        let (at, (_, payload)) = self.shards[shard].pop().expect("cached head is live");
-        self.refresh_head(shard);
-        Some((at, payload))
-    }
-
-    /// Removes and returns the globally earliest pending event if it
-    /// fires at or before `deadline` — the sharded counterpart of
-    /// [`EventQueue::pop_at_or_before`]. The deadline check runs on the
-    /// cached head key, so a past-the-deadline call touches no shard.
-    pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        let (shard, head) = self.best_shard();
-        if head == EMPTY_HEAD || (head >> 64) as u64 > deadline.as_nanos() {
-            return None;
-        }
-        let (at, (_, payload)) = self.shards[shard].pop().expect("cached head is live");
-        self.refresh_head(shard);
-        Some((at, payload))
-    }
-
-    /// The timestamp of the globally earliest pending event, if any —
-    /// the sharded [`EventQueue::peek_time`].
-    ///
-    /// Takes `&mut self` because selecting the best shard refreshes any
-    /// stale cached head keys (reaping cancelled entries inside the
-    /// shard on the way), so the answer is exact. Cost is `O(shards)`
-    /// on the cached keys when the heads are live; callers holding only
-    /// `&self` should use [`earliest`](Self::earliest).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        let (_, head) = self.best_shard();
-        if head == EMPTY_HEAD {
-            None
-        } else {
-            Some(SimTime::from_nanos((head >> 64) as u64))
-        }
-    }
-
-    /// The timestamp of the globally earliest pending event, without
-    /// `&mut self` — the sharded [`EventQueue::earliest`], with the same
-    /// contract: exact, but falls back to slab scans where a mutating
-    /// peek would have pruned.
-    pub fn earliest(&self) -> Option<SimTime> {
-        self.shards.iter().filter_map(|s| s.earliest()).min()
-    }
-
-    /// Iterates over all pending events in unspecified order — validation
-    /// passes only, same contract as [`EventQueue::iter`].
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &E)> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.iter().map(|(t, p)| (t, &p.1)))
-    }
-
-    /// Number of pending (non-cancelled) events across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    /// True if no events are pending on any shard.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
     }
 }
 
@@ -625,59 +245,15 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_event() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime::from_micros(1), 'a');
-        let b = q.push(SimTime::from_micros(2), 'b');
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a), "double cancel is a no-op");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime::from_micros(2), 'b')));
-        assert!(!q.cancel(b), "cancel after pop is a no-op");
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_bogus_key_is_rejected() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        assert!(!q.cancel(EventKey(99)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn stale_key_after_slot_reuse_is_rejected() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime::from_micros(1), 'a');
-        assert_eq!(q.pop(), Some((SimTime::from_micros(1), 'a')));
-        // The slot is recycled with a bumped generation: the old key must
-        // not cancel the new occupant.
-        let _b = q.push(SimTime::from_micros(2), 'b');
-        assert!(!q.cancel(a), "stale key cancelled a recycled slot");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime::from_micros(2), 'b')));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime::from_micros(1), 'a');
-        q.push(SimTime::from_micros(5), 'b');
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(5)));
-        assert_eq!(q.pop(), Some((SimTime::from_micros(5), 'b')));
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
     fn earliest_matches_peek_time_without_mut() {
         let mut q = EventQueue::new();
         assert_eq!(q.earliest(), None);
-        let a = q.push(SimTime::from_micros(1), 'a');
+        q.push(SimTime::from_micros(1), 'a');
         q.push(SimTime::from_micros(5), 'b');
         q.push(SimTime::from_secs(30), 'c'); // overflow heap
         assert_eq!(q.earliest(), Some(SimTime::from_micros(1)));
-        // A cancelled head forces the slow path; the answer stays exact.
-        q.cancel(a);
+        assert_eq!(q.pop(), Some((SimTime::from_micros(1), 'a')));
+        // The next head still sits in an undrained wheel slot.
         assert_eq!(q.earliest(), Some(SimTime::from_micros(5)));
         assert_eq!(q.earliest(), q.peek_time());
         assert_eq!(q.pop(), Some((SimTime::from_micros(5), 'b')));
@@ -705,54 +281,16 @@ mod tests {
     }
 
     #[test]
-    fn pop_at_or_before_skips_cancelled_heads() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime::from_micros(1), 'a');
-        let b = q.push(SimTime::from_micros(2), 'b');
-        q.push(SimTime::from_micros(3), 'c');
-        q.cancel(a);
-        q.cancel(b);
-        assert_eq!(
-            q.pop_at_or_before(SimTime::from_micros(10)),
-            Some((SimTime::from_micros(3), 'c'))
-        );
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn iter_sees_live_events_only() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime::from_micros(1), 'a');
-        q.push(SimTime::from_micros(2), 'b');
-        q.push(SimTime::from_micros(3), 'c');
-        q.cancel(a);
-        // Recycle a's slot at a different time: the stale wheel entry must
-        // not resurface the old timestamp through iteration.
-        assert_eq!(q.pop(), Some((SimTime::from_micros(2), 'b')));
-        q.push(SimTime::from_micros(9), 'd');
-        let mut seen: Vec<(SimTime, char)> = q.iter().map(|(t, &e)| (t, e)).collect();
-        seen.sort();
-        assert_eq!(
-            seen,
-            vec![
-                (SimTime::from_micros(3), 'c'),
-                (SimTime::from_micros(9), 'd'),
-            ]
-        );
-        assert_eq!(q.iter().count(), q.len());
-    }
-
-    #[test]
     fn peek_returns_head_without_removing() {
         let mut q = EventQueue::new();
-        let a = q.push(SimTime::from_micros(3), 'a');
+        q.push(SimTime::from_micros(3), 'a');
         q.push(SimTime::from_micros(5), 'b');
-        assert_eq!(q.peek(), Some((SimTime::from_micros(3), &'a')));
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(3)));
         assert_eq!(q.len(), 2, "peek must not consume");
-        q.cancel(a);
-        assert_eq!(q.peek(), Some((SimTime::from_micros(5), &'b')));
+        assert_eq!(q.pop(), Some((SimTime::from_micros(3), 'a')));
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(5)));
         assert_eq!(q.pop(), Some((SimTime::from_micros(5), 'b')));
-        assert_eq!(q.peek(), None);
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
@@ -786,116 +324,47 @@ mod tests {
     }
 
     #[test]
-    fn sharded_fifo_holds_across_shards() {
-        // Equal-time events pushed to different shards must still pop in
-        // global push order.
-        let mut q = ShardedEventQueue::new(4);
-        let t = SimTime::from_millis(2);
-        for i in 0..32u32 {
-            q.push((i % 4) as usize, t, i);
-        }
-        for i in 0..32u32 {
-            assert_eq!(q.pop(), Some((t, i)));
-        }
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn sharded_cancel_routes_by_shard_id() {
-        let mut q = ShardedEventQueue::new(2);
-        let a = q.push(0, SimTime::from_micros(1), 'a');
-        let b = q.push(1, SimTime::from_micros(2), 'b');
-        assert_eq!(a.shard(), 0);
-        assert_eq!(b.shard(), 1);
-        assert!(q.cancel(b));
-        assert!(!q.cancel(b), "double cancel is a no-op");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime::from_micros(1), 'a')));
-        assert!(!q.cancel(a), "cancel after pop is a no-op");
-    }
-
-    #[test]
-    fn sharded_pop_at_or_before_respects_deadline() {
-        let mut q = ShardedEventQueue::new(3);
-        q.push(0, SimTime::from_micros(10), 'a');
-        q.push(1, SimTime::from_micros(20), 'b');
-        q.push(2, SimTime::from_micros(30), 'c');
-        assert_eq!(q.pop_at_or_before(SimTime::from_micros(5)), None);
-        assert_eq!(
-            q.pop_at_or_before(SimTime::from_micros(25)),
-            Some((SimTime::from_micros(10), 'a'))
-        );
-        assert_eq!(
-            q.pop_at_or_before(SimTime::from_micros(25)),
-            Some((SimTime::from_micros(20), 'b'))
-        );
-        assert_eq!(q.pop_at_or_before(SimTime::from_micros(25)), None);
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(30)));
-    }
-
-    #[test]
-    fn sharded_cancel_of_cached_head_stays_exact() {
-        // Cancelling the event the merge front cached must not mask the
-        // shard's next event or resurrect the dead one.
-        let mut q = ShardedEventQueue::new(3);
-        let a = q.push(0, SimTime::from_micros(1), 'a');
-        q.push(0, SimTime::from_micros(4), 'b');
-        q.push(1, SimTime::from_micros(2), 'c');
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(2)));
-        assert_eq!(q.pop(), Some((SimTime::from_micros(2), 'c')));
-        assert_eq!(q.pop(), Some((SimTime::from_micros(4), 'b')));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
     fn len_tracks_live_events() {
+        // Pending events are counted wherever they sit: drain buffer,
+        // wheel buckets or overflow heap.
         let mut q = EventQueue::new();
-        let keys: Vec<_> = (0..10)
-            .map(|i| q.push(SimTime::from_micros(i), i))
-            .collect();
-        assert_eq!(q.len(), 10);
-        q.cancel(keys[3]);
-        q.cancel(keys[7]);
-        assert_eq!(q.len(), 8);
+        for i in 0..10 {
+            q.push(SimTime::from_micros(i), i);
+        }
+        q.push(SimTime::from_millis(50), 10);
+        q.push(SimTime::from_secs(9), 11);
+        assert_eq!(q.len(), 12);
+        assert_eq!(q.pop(), Some((SimTime::ZERO, 0)));
+        assert_eq!(q.len(), 11);
         let mut popped = 0;
         while q.pop().is_some() {
             popped += 1;
         }
-        assert_eq!(popped, 8);
+        assert_eq!(popped, 11);
+        assert_eq!(q.len(), 0);
     }
 
     proptest! {
-        /// Popped timestamps are non-decreasing and every non-cancelled
-        /// event comes out exactly once, for arbitrary push/cancel mixes.
+        /// Popped timestamps are non-decreasing and every pushed event
+        /// comes out exactly once, with its own timestamp.
         #[test]
         fn prop_total_order_and_conservation(
             times in proptest::collection::vec(0u64..1_000, 1..200),
-            cancel_mask in proptest::collection::vec(any::<bool>(), 1..200),
         ) {
             let mut q = EventQueue::new();
-            let mut keys = Vec::new();
             for (i, t) in times.iter().enumerate() {
-                keys.push((i, q.push(SimTime::from_micros(*t), i)));
-            }
-            let mut expected: Vec<usize> = Vec::new();
-            for (i, (id, key)) in keys.iter().enumerate() {
-                if *cancel_mask.get(i).unwrap_or(&false) {
-                    q.cancel(*key);
-                } else {
-                    expected.push(*id);
-                }
+                q.push(SimTime::from_micros(*t), i);
             }
             let mut out = Vec::new();
             let mut last = SimTime::ZERO;
             while let Some((t, id)) = q.pop() {
                 prop_assert!(t >= last);
+                prop_assert_eq!(t, SimTime::from_micros(times[id]));
                 last = t;
                 out.push(id);
             }
             out.sort_unstable();
-            expected.sort_unstable();
-            prop_assert_eq!(out, expected);
+            prop_assert_eq!(out, (0..times.len()).collect::<Vec<_>>());
         }
 
         /// FIFO tie-break: for events at the same instant, pop order equals
@@ -912,25 +381,23 @@ mod tests {
             }
         }
 
-        /// Interleaved push/pop/cancel against a naive reference model:
-        /// the slab + wheel + overflow heap must agree with a sorted-vec
+        /// Interleaved push/pop/deadline-pop against a naive reference
+        /// model: the wheel + overflow heap must agree with a sorted-vec
         /// simulation of the same operation sequence, including `len`.
         #[test]
         fn prop_matches_reference_model(
             ops in proptest::collection::vec((0u16..4, 0u64..500), 1..300),
         ) {
             let mut q = EventQueue::new();
-            // Reference: (time, seq, id) kept sorted; cancellation by id.
-            let mut model: Vec<(u64, u64, u64)> = Vec::new();
-            let mut keys: Vec<(u64, EventKey)> = Vec::new();
+            // Reference: (time, seq) kept sorted; the seq is the payload.
+            let mut model: Vec<(u64, u64)> = Vec::new();
             let mut next_id = 0u64;
             for (op, t) in ops {
                 match op {
                     // Push.
                     0 | 1 => {
-                        let key = q.push(SimTime::from_micros(t), next_id);
-                        model.push((t, next_id, next_id));
-                        keys.push((next_id, key));
+                        q.push(SimTime::from_micros(t), next_id);
+                        model.push((t, next_id));
                         next_id += 1;
                     }
                     // Pop.
@@ -939,23 +406,22 @@ mod tests {
                         let expected = if model.is_empty() {
                             None
                         } else {
-                            let (t, _, id) = model.remove(0);
+                            let (t, id) = model.remove(0);
                             Some((SimTime::from_micros(t), id))
                         };
                         prop_assert_eq!(q.pop(), expected);
                     }
-                    // Cancel a pseudo-random outstanding key.
+                    // Deadline pop.
                     _ => {
-                        if !keys.is_empty() {
-                            let pick = (t as usize) % keys.len();
-                            let (id, key) = keys.swap_remove(pick);
-                            let in_model = model.iter().position(|&(_, _, mid)| mid == id);
-                            let expect = in_model.is_some();
-                            if let Some(pos) = in_model {
-                                model.swap_remove(pos);
+                        model.sort_unstable();
+                        let expected = match model.first() {
+                            Some(&(mt, _)) if mt <= t => {
+                                let (mt, id) = model.remove(0);
+                                Some((SimTime::from_micros(mt), id))
                             }
-                            prop_assert_eq!(q.cancel(key), expect);
-                        }
+                            _ => None,
+                        };
+                        prop_assert_eq!(q.pop_at_or_before(SimTime::from_micros(t)), expected);
                     }
                 }
                 prop_assert_eq!(q.len(), model.len());
@@ -973,15 +439,13 @@ mod tests {
             ),
         ) {
             let mut q = EventQueue::new();
-            let mut model: Vec<(u64, u64, u64)> = Vec::new();
-            let mut keys: Vec<(u64, EventKey)> = Vec::new();
+            let mut model: Vec<(u64, u64)> = Vec::new();
             let mut next_id = 0u64;
             for (op, t) in ops {
                 match op {
                     0 | 1 => {
-                        let key = q.push(SimTime::from_nanos(t), next_id);
-                        model.push((t, next_id, next_id));
-                        keys.push((next_id, key));
+                        q.push(SimTime::from_nanos(t), next_id);
+                        model.push((t, next_id));
                         next_id += 1;
                     }
                     2 => {
@@ -989,137 +453,69 @@ mod tests {
                         let expected = if model.is_empty() {
                             None
                         } else {
-                            let (t, _, id) = model.remove(0);
+                            let (t, id) = model.remove(0);
                             Some((SimTime::from_nanos(t), id))
                         };
                         prop_assert_eq!(q.pop(), expected);
                     }
                     _ => {
-                        if !keys.is_empty() {
-                            let pick = (t as usize) % keys.len();
-                            let (id, key) = keys.swap_remove(pick);
-                            let in_model = model.iter().position(|&(_, _, mid)| mid == id);
-                            let expect = in_model.is_some();
-                            if let Some(pos) = in_model {
-                                model.swap_remove(pos);
+                        model.sort_unstable();
+                        let expected = match model.first() {
+                            Some(&(mt, _)) if mt <= t => {
+                                let (mt, id) = model.remove(0);
+                                Some((SimTime::from_nanos(mt), id))
                             }
-                            prop_assert_eq!(q.cancel(key), expect);
-                        }
+                            _ => None,
+                        };
+                        prop_assert_eq!(q.pop_at_or_before(SimTime::from_nanos(t)), expected);
                     }
                 }
                 prop_assert_eq!(q.len(), model.len());
                 prop_assert_eq!(
                     q.earliest(),
-                    model.iter().map(|&(t, _, _)| SimTime::from_nanos(t)).min()
+                    model.iter().map(|&(t, _)| SimTime::from_nanos(t)).min()
                 );
             }
         }
 
-        /// A sharded queue pops the exact sequence a single queue pops,
-        /// for arbitrary shard assignments and push/pop/cancel mixes —
-        /// the determinism contract the hypervisor relies on.
-        #[test]
-        fn prop_sharded_matches_unsharded(
-            ops in proptest::collection::vec((0u16..5, 0u64..300, 0u8..3), 1..300),
-        ) {
-            let mut sharded = ShardedEventQueue::new(3);
-            let mut flat = EventQueue::new();
-            let mut keys: Vec<(ShardKey, EventKey)> = Vec::new();
-            let mut next_id = 0u64;
-            for (op, t, shard) in ops {
-                match op {
-                    0 | 1 => {
-                        let at = SimTime::from_micros(t);
-                        let sk = sharded.push(shard as usize, at, next_id);
-                        let fk = flat.push(at, next_id);
-                        keys.push((sk, fk));
-                        next_id += 1;
-                    }
-                    2 => {
-                        prop_assert_eq!(sharded.pop(), flat.pop());
-                    }
-                    3 => {
-                        let deadline = SimTime::from_micros(t);
-                        prop_assert_eq!(
-                            sharded.pop_at_or_before(deadline),
-                            flat.pop_at_or_before(deadline)
-                        );
-                    }
-                    _ => {
-                        if !keys.is_empty() {
-                            let pick = (t as usize) % keys.len();
-                            let (sk, fk) = keys.swap_remove(pick);
-                            prop_assert_eq!(sharded.cancel(sk), flat.cancel(fk));
-                        }
-                    }
-                }
-                prop_assert_eq!(sharded.len(), flat.len());
-                prop_assert_eq!(sharded.peek_time(), flat.peek_time());
-            }
-            let mut a: Vec<_> = sharded.iter().map(|(t, &e)| (t, e)).collect();
-            let mut b: Vec<_> = flat.iter().map(|(t, &e)| (t, e)).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b);
-        }
-
-        /// A clone taken mid-stream behaves byte-identically to the
-        /// original from that point on: same pops, same cancel results
-        /// (keys issued before the clone stay valid against it), same
-        /// slot recycling for post-clone pushes. This is the contract
+        /// A clone taken mid-stream behaves identically to the original
+        /// from that point on: same pops, same deadline pops, same
+        /// lengths and heads for post-clone pushes. This is the contract
         /// the machine snapshot/fork path rests on.
         #[test]
         fn prop_clone_replays_identically(
-            pre in proptest::collection::vec((0u16..4, 0u64..300, 0u8..3), 1..120),
-            post in proptest::collection::vec((0u16..5, 0u64..300, 0u8..3), 1..120),
+            pre in proptest::collection::vec((0u16..3, 0u64..300), 1..120),
+            post in proptest::collection::vec((0u16..4, 0u64..300), 1..120),
         ) {
-            let mut q = ShardedEventQueue::new(3);
-            let mut keys: Vec<ShardKey> = Vec::new();
+            let mut q = EventQueue::new();
             let mut next_id = 0u64;
-            for (op, t, shard) in pre {
-                match op {
-                    0 | 1 => {
-                        keys.push(q.push(shard as usize, SimTime::from_micros(t), next_id));
-                        next_id += 1;
-                    }
-                    2 => {
-                        q.pop();
-                    }
-                    _ => {
-                        if !keys.is_empty() {
-                            let pick = (t as usize) % keys.len();
-                            q.cancel(keys[pick]);
-                        }
-                    }
+            for (op, t) in pre {
+                if op < 2 {
+                    q.push(SimTime::from_micros(t), next_id);
+                    next_id += 1;
+                } else {
+                    q.pop();
                 }
             }
             let mut fork = q.clone();
             prop_assert_eq!(fork.len(), q.len());
-            for (op, t, shard) in post {
+            for (op, t) in post {
                 match op {
                     0 | 1 => {
                         let at = SimTime::from_micros(t);
-                        let ka = q.push(shard as usize, at, next_id);
-                        let kb = fork.push(shard as usize, at, next_id);
-                        prop_assert_eq!(ka, kb, "clone must recycle identical slots");
-                        keys.push(ka);
+                        q.push(at, next_id);
+                        fork.push(at, next_id);
                         next_id += 1;
                     }
                     2 => {
                         prop_assert_eq!(q.pop(), fork.pop());
                     }
-                    3 => {
+                    _ => {
                         let deadline = SimTime::from_micros(t);
                         prop_assert_eq!(
                             q.pop_at_or_before(deadline),
                             fork.pop_at_or_before(deadline)
                         );
-                    }
-                    _ => {
-                        if !keys.is_empty() {
-                            let pick = (t as usize) % keys.len();
-                            prop_assert_eq!(q.cancel(keys[pick]), fork.cancel(keys[pick]));
-                        }
                     }
                 }
                 prop_assert_eq!(q.len(), fork.len());

@@ -20,7 +20,7 @@
 //! enters their tick, so every entry is sorted exactly once, in the
 //! finest-granularity bucket it ends up in. See DESIGN.md §4.10.
 
-use super::heap::HeapEntry;
+use super::heap::Entry;
 
 /// log2 of the level-0 slot width in nanoseconds.
 pub(super) const SHIFT0: u32 = 12;
@@ -82,21 +82,21 @@ fn scan64_after(occ: u64, start: usize) -> Option<usize> {
 ///   cascade, and [`Wheel::take_next_slot`] drains it in the same call —
 ///   direct pushes for the cursor slot stay in the queue's drain buffer.
 #[derive(Clone)]
-pub(super) struct Wheel {
-    l0: Vec<Vec<HeapEntry>>,
-    l1: Vec<Vec<HeapEntry>>,
-    l2: Vec<Vec<HeapEntry>>,
+pub(super) struct Wheel<E> {
+    l0: Vec<Vec<Entry<E>>>,
+    l1: Vec<Vec<Entry<E>>>,
+    l2: Vec<Vec<Entry<E>>>,
     occ0: [u64; 4],
     occ1: u64,
     occ2: u64,
     /// The drain frontier in ns, always a multiple of `2^SHIFT0`. Never
     /// moves backwards; never skips a non-empty slot.
     pub(super) cursor: u64,
-    /// Total entries across all buckets (cancelled ones included).
+    /// Total entries across all buckets.
     pub(super) count: usize,
 }
 
-impl Wheel {
+impl<E: Copy> Wheel<E> {
     pub(super) fn new() -> Self {
         Wheel {
             l0: (0..SLOTS0).map(|_| Vec::new()).collect(),
@@ -115,7 +115,7 @@ impl Wheel {
     /// caller must not pass times behind the cursor, and routes times in
     /// the cursor's own level-0 slot here only from a cascade.
     #[inline]
-    pub(super) fn insert(&mut self, entry: HeapEntry) -> Result<(), HeapEntry> {
+    pub(super) fn insert(&mut self, entry: Entry<E>) -> Result<(), Entry<E>> {
         let t = entry.at.as_nanos();
         debug_assert!(t >= self.cursor);
         if (t >> SHIFT0) - (self.cursor >> SHIFT0) < SLOTS0 {
@@ -161,11 +161,16 @@ impl Wheel {
         Some(bound)
     }
 
+    /// Every bucketed entry, in unspecified order.
+    pub(super) fn entries(&self) -> impl Iterator<Item = &Entry<E>> {
+        self.l0.iter().chain(&self.l1).chain(&self.l2).flatten()
+    }
+
     /// Advances the cursor to the next non-empty level-0 slot — cascading
     /// level-1/2 buckets down as their ticks are entered — and moves that
     /// slot's entries (unsorted) into `out`. Returns `false` iff the
     /// wheel is empty.
-    pub(super) fn take_next_slot(&mut self, out: &mut Vec<HeapEntry>) -> bool {
+    pub(super) fn take_next_slot(&mut self, out: &mut Vec<Entry<E>>) -> bool {
         debug_assert!(out.is_empty());
         loop {
             if self.count == 0 {
@@ -193,7 +198,7 @@ impl Wheel {
                 let bucket = core::mem::take(&mut self.l2[i]);
                 self.count -= bucket.len();
                 for e in bucket {
-                    self.insert(e).expect("within level-2 window");
+                    assert!(self.insert(e).is_ok(), "within level-2 window");
                 }
                 // The cursor just landed on a level-2 boundary, which is
                 // also the *start* of a level-1 slot. That slot may hold
@@ -209,7 +214,7 @@ impl Wheel {
                     let bucket = core::mem::take(&mut self.l1[j]);
                     self.count -= bucket.len();
                     for e in bucket {
-                        self.insert(e).expect("within level-1 window");
+                        assert!(self.insert(e).is_ok(), "within level-1 window");
                     }
                 }
             } else if bb <= ab {
@@ -220,7 +225,7 @@ impl Wheel {
                 let bucket = core::mem::take(&mut self.l1[i]);
                 self.count -= bucket.len();
                 for e in bucket {
-                    self.insert(e).expect("within level-1 window");
+                    assert!(self.insert(e).is_ok(), "within level-1 window");
                 }
             } else {
                 let tick = a.expect("count > 0 with no level-1/2 slot");

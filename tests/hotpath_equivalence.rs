@@ -2,15 +2,16 @@
 //!
 //! Three structures were rewritten for cache locality — the SoA run
 //! queue (`hypervisor::pcpu`), the flattened program arena
-//! (`guest::segment::FlatProgram`), and the pool-sharded event queue
-//! (`simcore::event::ShardedEventQueue`). Each claims *observable
-//! equivalence* with the representation it replaced. This suite checks
-//! that claim twice over:
+//! (`guest::segment::FlatProgram`), and the timing-wheel event queue
+//! (`simcore::event::EventQueue`). Each claims *observable equivalence*
+//! with the representation it replaced. This suite checks that claim
+//! twice over:
 //!
-//! - structurally, against reference models written here that reproduce
-//!   the replaced implementations verbatim (the `VecDeque` run queue,
-//!   direct `Box<dyn Program>` pulls, a single flat `EventQueue`),
-//!   driven through long pseudo-random op sequences; and
+//! - structurally, against reference models that reproduce the replaced
+//!   implementations (the `VecDeque` run queue and direct
+//!   `Box<dyn Program>` pulls, written here; the heap-backed
+//!   `HeapEventQueue`, kept in `simcore`), with the wheel's level
+//!   rollovers and drain-frontier ties pinned by directed tests; and
 //! - end-to-end, on the fig4 and table2 quick grids: the rendered bytes
 //!   must be identical across seeds and across `--jobs 1` vs `--jobs 8`
 //!   (the fan-out path exercises all three structures concurrently).
@@ -18,7 +19,7 @@
 use guest::segment::{FlatProgram, Program, ScriptedProgram, Segment};
 use hypervisor::pcpu::{first_rank_above, Pcpu, RunqEntry};
 use hypervisor::Prio;
-use simcore::event::{EventQueue, ShardedEventQueue};
+use simcore::event::EventQueue;
 use simcore::ids::{PcpuId, VcpuId, VmId};
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
@@ -338,70 +339,6 @@ fn arena_matches_direct_dispatch_for_scripted_programs() {
 }
 
 // ---------------------------------------------------------------------
-// Sharded event queue vs the single flat queue.
-// ---------------------------------------------------------------------
-
-/// Mirrors a push/cancel/pop/pop_at_or_before stream against a flat
-/// `EventQueue` with shard routing assigned the way the machine routes
-/// (a static function of the payload), asserting identical pop order.
-/// Complements the proptest in `simcore::event` with the 3-shard layout
-/// the machine actually uses.
-#[test]
-fn three_shard_queue_matches_flat_queue() {
-    for seed in 0..24u64 {
-        let mut rng = SimRng::new(0x3AD_0000 + seed);
-        let mut flat: EventQueue<u64> = EventQueue::new();
-        let mut sharded: ShardedEventQueue<u64> = ShardedEventQueue::new(3);
-        let mut keys = Vec::new(); // (flat key, shard key), parallel.
-        for step in 0..600 {
-            match rng.range_u64(0, 10) {
-                0..=4 => {
-                    let payload = rng.range_u64(0, 1 << 40);
-                    let shard = (payload % 3) as usize; // routing = f(payload)
-                    let at = SimTime::from_nanos(rng.range_u64(0, 2_000));
-                    keys.push((flat.push(at, payload), sharded.push(shard, at, payload)));
-                }
-                5 => {
-                    if !keys.is_empty() {
-                        let i = rng.range_u64(0, keys.len() as u64) as usize;
-                        let (fk, sk) = keys.swap_remove(i);
-                        assert_eq!(
-                            flat.cancel(fk),
-                            sharded.cancel(sk),
-                            "cancel diverged (seed {seed}, step {step})"
-                        );
-                    }
-                }
-                6 | 7 => {
-                    assert_eq!(
-                        flat.pop(),
-                        sharded.pop(),
-                        "pop diverged (seed {seed}, step {step})"
-                    );
-                }
-                _ => {
-                    let deadline = SimTime::from_nanos(rng.range_u64(0, 2_000));
-                    assert_eq!(
-                        flat.pop_at_or_before(deadline),
-                        sharded.pop_at_or_before(deadline),
-                        "pop_at_or_before diverged (seed {seed}, step {step})"
-                    );
-                }
-            }
-            assert_eq!(flat.peek_time(), sharded.peek_time(), "seed {seed}");
-        }
-        // Drain both to the end: the full ordering must agree.
-        loop {
-            let (a, b) = (flat.pop(), sharded.pop());
-            assert_eq!(a, b, "drain diverged (seed {seed})");
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Timing-wheel cascade boundaries.
 // ---------------------------------------------------------------------
 //
@@ -489,53 +426,6 @@ fn zero_delta_pushes_at_the_drain_frontier_pop_first() {
     assert_eq!(rest, (33..64).collect::<Vec<u64>>());
 }
 
-/// Cancel-then-repush into the same wheel slot: the cancelled key must
-/// stay dead (double-cancel misses), the repushed event must pop at its
-/// time, and a cancel of a just-cascaded head must not disturb order.
-#[test]
-fn cancel_then_repush_same_slot_keeps_order() {
-    let mut q: EventQueue<u64> = EventQueue::new();
-    // Three events in the same level-2 slot, one level-1 neighbor.
-    let t0 = SimTime::from_nanos(3 * L2_SLOT + 17);
-    let t1 = SimTime::from_nanos(3 * L2_SLOT + 17); // same slot, tie
-    let t2 = SimTime::from_nanos(3 * L2_SLOT + 5 * L1_SLOT);
-    let near = SimTime::from_nanos(L1_SLOT / 2);
-    let k0 = q.push(t0, 10);
-    let _k1 = q.push(t1, 11);
-    let k2 = q.push(t2, 12);
-    q.push(near, 13);
-    // Cancel the first of the tied pair, then repush at the same time:
-    // the repush lands in the same slot with a fresh seq, so it pops
-    // *after* the surviving tie.
-    assert!(q.cancel(k0));
-    assert!(!q.cancel(k0), "double cancel must miss");
-    q.push(t0, 14);
-    // Cancel-then-repush of the far entry too, across a pop that forces
-    // the first cascade.
-    assert_eq!(q.pop(), Some((near, 13)));
-    assert!(q.cancel(k2));
-    q.push(t2, 15);
-    let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, v)| v).collect();
-    assert_eq!(order, vec![11, 14, 15]);
-}
-
-/// The sharded queue under the same boundary stream: cancelling a cached
-/// merge-front head exactly on a level boundary must re-derive the next
-/// head correctly (the dirty-bit lower-bound path).
-#[test]
-fn sharded_cancel_on_level_boundary_rederives_head() {
-    let mut q: ShardedEventQueue<u64> = ShardedEventQueue::new(3);
-    let head = q.push(0, SimTime::from_nanos(L2_SLOT), 1);
-    q.push(1, SimTime::from_nanos(L2_SLOT + 1), 2);
-    q.push(2, SimTime::from_nanos(2 * L2_SLOT), 3);
-    assert_eq!(q.peek_time(), Some(SimTime::from_nanos(L2_SLOT)));
-    assert!(q.cancel(head));
-    assert_eq!(q.peek_time(), Some(SimTime::from_nanos(L2_SLOT + 1)));
-    assert_eq!(q.pop(), Some((SimTime::from_nanos(L2_SLOT + 1), 2)));
-    assert_eq!(q.pop(), Some((SimTime::from_nanos(2 * L2_SLOT), 3)));
-    assert_eq!(q.pop(), None);
-}
-
 // ---------------------------------------------------------------------
 // End-to-end: fig4 and table2 quick grids.
 // ---------------------------------------------------------------------
@@ -554,7 +444,7 @@ fn render(id: &str, seed: u64, jobs: usize) -> String {
 
 /// The issue's end-to-end contract: fig4 and table2, quick grids, every
 /// seed, `--jobs 1` vs `--jobs 8` — byte-identical. The parallel run
-/// exercises the SoA queue, the arena, and the sharded queue inside
+/// exercises the SoA queue, the arena, and the event queue inside
 /// every cell simultaneously; a divergence in any of them changes the
 /// rendered bytes. Slow under debug builds, so release-gated like the
 /// other whole-grid suites.

@@ -2,18 +2,19 @@
 //! pre-wheel [`HeapEventQueue`] reference backend.
 //!
 //! Both queues implement the same contract — `(time, seq)` total order,
-//! FIFO within a timestamp, `O(1)` cancel with lazy reaping — so driving
+//! FIFO within a timestamp — so driving
 //! them through identical seeded op sequences and asserting identical
 //! observable behaviour (pop order, deadline pops, peeks, lengths) is a
 //! direct check that the timing wheel changed the data structure and
 //! nothing else. The op mix mirrors the simulator's access pattern: a
 //! monotonically advancing frontier, pushes at short horizons past the
 //! frontier (the 0.1–30 ms timer classes), occasional far-future pushes
-//! that land on the overflow heap, and cancel/re-push churn.
+//! that land on the overflow heap, and repeat pushes at earlier firing
+//! times (ties, and pushes behind the drain frontier).
 //!
 //! `scripts/ci.sh` runs this as the `wheel_vs_heap` differential smoke.
 
-use simcore::event::{EventQueue, HeapEventQueue, ShardedEventQueue};
+use simcore::event::{EventQueue, HeapEventQueue};
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 
@@ -22,7 +23,7 @@ fn differential_run(seed: u64, ops: usize) {
     let mut rng = SimRng::new(seed);
     let mut wheel: EventQueue<u64> = EventQueue::new();
     let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
-    let mut keys = Vec::new();
+    let mut pushed = Vec::new();
     let mut next_id = 0u64;
     // The simulated clock: advanced by deadline pops, like `Machine::now`.
     let mut now = SimTime::ZERO;
@@ -35,24 +36,24 @@ fn differential_run(seed: u64, ops: usize) {
             0..=39 => {
                 let horizon = SimDuration::from_nanos(rng.below(30_000_000));
                 let at = now + horizon;
-                let kw = wheel.push(at, next_id);
-                let kh = heap.push(at, next_id);
-                keys.push((kw, kh));
+                wheel.push(at, next_id);
+                heap.push(at, next_id);
+                pushed.push(at);
                 next_id += 1;
             }
             // Far-future push: overflow-heap territory (beyond ~4.29 s).
             40..=44 => {
                 let at = now + SimDuration::from_nanos(4_000_000_000 + rng.below(8_000_000_000));
-                let kw = wheel.push(at, next_id);
-                let kh = heap.push(at, next_id);
-                keys.push((kw, kh));
+                wheel.push(at, next_id);
+                heap.push(at, next_id);
+                pushed.push(at);
                 next_id += 1;
             }
             // Zero-delta push: fires exactly at the frontier.
             45..=49 => {
-                let kw = wheel.push(now, next_id);
-                let kh = heap.push(now, next_id);
-                keys.push((kw, kh));
+                wheel.push(now, next_id);
+                heap.push(now, next_id);
+                pushed.push(now);
                 next_id += 1;
             }
             // Deadline pop, advancing the frontier — `Machine::step`'s
@@ -80,16 +81,15 @@ fn differential_run(seed: u64, ops: usize) {
                     now = now.max(t);
                 }
             }
-            // Cancel a pseudo-random outstanding key (may be stale).
+            // Repeat push at the firing time of an earlier push: a tie
+            // with a pending event, or — once that time has passed — a
+            // push behind the drain frontier.
             _ => {
-                if !keys.is_empty() {
-                    let pick = rng.below(keys.len() as u64) as usize;
-                    let (kw, kh) = keys.swap_remove(pick);
-                    assert_eq!(
-                        wheel.cancel(kw),
-                        heap.cancel(kh),
-                        "cancel diverged at step {step} (seed {seed:#x})"
-                    );
+                if !pushed.is_empty() {
+                    let at = pushed[rng.below(pushed.len() as u64) as usize];
+                    wheel.push(at, next_id);
+                    heap.push(at, next_id);
+                    next_id += 1;
                 }
             }
         }
@@ -120,95 +120,6 @@ fn differential_run(seed: u64, ops: usize) {
     }
 }
 
-/// The sharded variant: [`ShardedEventQueue`] (3 shards, the machine's
-/// layout) against the flat heap reference, same machine-shaped op mix.
-/// This exercises the merge-front head cache — packed-key compares, the
-/// dirty-bit path on head cancellation — on top of the wheel itself.
-fn sharded_differential_run(seed: u64, ops: usize) {
-    let mut rng = SimRng::new(seed);
-    let mut sharded: ShardedEventQueue<u64> = ShardedEventQueue::new(3);
-    let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
-    let mut keys = Vec::new();
-    let mut next_id = 0u64;
-    let mut now = SimTime::ZERO;
-
-    for step in 0..ops {
-        let roll = rng.below(100);
-        match roll {
-            0..=44 => {
-                let horizon = if roll < 40 {
-                    SimDuration::from_nanos(rng.below(30_000_000))
-                } else {
-                    SimDuration::from_nanos(rng.below(8_000_000_000))
-                };
-                let at = now + horizon;
-                let shard = rng.below(3) as usize;
-                let ks = sharded.push(shard, at, next_id);
-                let kh = heap.push(at, next_id);
-                keys.push((ks, kh));
-                next_id += 1;
-            }
-            45..=49 => {
-                let shard = rng.below(3) as usize;
-                let ks = sharded.push(shard, now, next_id);
-                let kh = heap.push(now, next_id);
-                keys.push((ks, kh));
-                next_id += 1;
-            }
-            50..=79 => {
-                let deadline = now + SimDuration::from_nanos(rng.below(2_000_000));
-                let a = sharded.pop_at_or_before(deadline);
-                let b = heap.pop_at_or_before(deadline);
-                assert_eq!(
-                    a, b,
-                    "deadline pop diverged at step {step} (seed {seed:#x})"
-                );
-                if let Some((t, _)) = a {
-                    now = now.max(t);
-                } else {
-                    now = now.max(deadline);
-                }
-            }
-            80..=89 => {
-                let a = sharded.pop();
-                let b = heap.pop();
-                assert_eq!(a, b, "pop diverged at step {step} (seed {seed:#x})");
-                if let Some((t, _)) = a {
-                    now = now.max(t);
-                }
-            }
-            _ => {
-                if !keys.is_empty() {
-                    let pick = rng.below(keys.len() as u64) as usize;
-                    let (ks, kh) = keys.swap_remove(pick);
-                    assert_eq!(
-                        sharded.cancel(ks),
-                        heap.cancel(kh),
-                        "cancel diverged at step {step} (seed {seed:#x})"
-                    );
-                }
-            }
-        }
-        assert_eq!(
-            sharded.len(),
-            heap.len(),
-            "len diverged at step {step} (seed {seed:#x})"
-        );
-        assert_eq!(
-            sharded.peek_time(),
-            heap.peek_time(),
-            "peek_time diverged at step {step} (seed {seed:#x})"
-        );
-    }
-    loop {
-        let (a, b) = (sharded.pop(), heap.pop());
-        assert_eq!(a, b, "drain diverged (seed {seed:#x})");
-        if a.is_none() {
-            break;
-        }
-    }
-}
-
 /// The default smoke: 64 seeds × 2000 ops. `scripts/ci.sh` runs exactly
 /// this test; a divergence prints the offending seed for replay.
 #[test]
@@ -224,16 +135,5 @@ fn wheel_matches_heap_reference() {
 fn wheel_matches_heap_reference_long() {
     for seed in 0..8u64 {
         differential_run(0x1046_u64.wrapping_add(seed), 20_000);
-    }
-}
-
-/// Sharded smoke: merge-front cache + wheel vs the flat heap reference.
-#[test]
-fn sharded_wheel_matches_heap_reference() {
-    for seed in 0..32u64 {
-        sharded_differential_run(0x5AA5_0000 + seed, 2000);
-    }
-    for seed in 0..4u64 {
-        sharded_differential_run(0xFEED_0000 + seed, 20_000);
     }
 }
